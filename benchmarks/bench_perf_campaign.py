@@ -9,18 +9,16 @@ metric extraction) for the shapes the paper's figures lean on:
 
 Two configurations run back to back in the same process:
 
-* **after** -- the defaults: arg-carrying fast scheduling on links and
-  metrics-only streaming capture.
-* **legacy-mode** -- ``Link.use_fast_scheduling = False`` plus
-  ``capture_level="full"``: per-packet closures, Event handles, a
-  ``PacketRecord`` per packet and batch trace analysis.  This
-  understates the true pre-overhaul cost (the engine core, the
-  wire-size cache and the O(1) receiver bookkeeping cannot be toggled
-  off); the ``seed_baseline`` section of BENCH_PERF.json records
-  measurements taken at the pre-overhaul commit itself.
+* **after** -- the default metrics-only streaming capture.
+* **legacy-mode** -- ``capture_level="full"``: a ``PacketRecord`` per
+  packet and batch trace analysis.  This understates the true
+  pre-overhaul cost (the engine core, the wire-size cache and the O(1)
+  receiver bookkeeping cannot be toggled off); the ``seed_baseline``
+  section of BENCH_PERF.json records measurements taken at the
+  pre-overhaul commit itself.
 
-Every run asserts the download time against the known-good value: the
-fast path and every capture level must be byte-identical.
+Every run asserts the download time against the known-good value:
+every capture level must be byte-identical.
 
 Usage::
 
@@ -40,7 +38,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.config import FlowSpec  # noqa: E402
 from repro.experiments.runner import Measurement  # noqa: E402
-from repro.netsim.link import Link  # noqa: E402
 from repro.sim.rng import derive_seed  # noqa: E402
 from repro.wireless.profiles import TimeOfDay  # noqa: E402
 
@@ -64,20 +61,16 @@ def _workloads(quick: bool):
     return loads
 
 
-def run_one(spec: FlowSpec, size: int, fast: bool, level: str) -> dict:
-    Link.use_fast_scheduling = fast
-    try:
-        seed = derive_seed(2013, f"bench-perf:{spec.identity}:{size}")
-        measurement = Measurement(spec, size, seed=seed,
-                                  period=TimeOfDay.AFTERNOON,
-                                  capture_level=level)
-        wall_start = time.perf_counter()
-        cpu_start = time.process_time()
-        result = measurement.run()
-        cpu = time.process_time() - cpu_start
-        wall = time.perf_counter() - wall_start
-    finally:
-        Link.use_fast_scheduling = True
+def run_one(spec: FlowSpec, size: int, level: str) -> dict:
+    seed = derive_seed(2013, f"bench-perf:{spec.identity}:{size}")
+    measurement = Measurement(spec, size, seed=seed,
+                              period=TimeOfDay.AFTERNOON,
+                              capture_level=level)
+    wall_start = time.perf_counter()
+    cpu_start = time.process_time()
+    result = measurement.run()
+    cpu = time.process_time() - cpu_start
+    wall = time.perf_counter() - wall_start
     return {"wall": wall, "cpu": cpu,
             "download_time": result.download_time,
             "completed": result.completed}
@@ -91,11 +84,11 @@ def bench(reps: int, quick: bool) -> dict:
         oracle = None
         # Both configurations run back to back per workload; the
         # fastest of ``reps`` runs is kept for each.
-        for mode, fast, level in (("after", True, "metrics-only"),
-                                  ("legacy_mode", False, "full")):
+        for mode, level in (("after", "metrics-only"),
+                            ("legacy_mode", "full")):
             best = None
             for _ in range(reps):
-                sample = run_one(spec, size, fast, level)
+                sample = run_one(spec, size, level)
                 if not sample["completed"]:
                     raise AssertionError(f"{tag}: transfer incomplete")
                 if oracle is None:

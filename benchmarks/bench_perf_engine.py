@@ -14,9 +14,9 @@ Three workloads exercise the hot paths the campaign runner leans on:
   fast variant uses :meth:`Simulator.reschedule` (re-keyed in place);
   the legacy variant cancels and re-schedules, leaving a tombstone in
   the heap each time.
-* ``vectorized_pipeline`` -- the batched link shape introduced by the
-  vectorized packet core: whole bursts of service completions are
-  computed in one numpy step and posted as a *single* heap entry via
+* ``vectorized_pipeline`` -- the batched link shape (link burst
+  batching): whole bursts of service completions are computed up front
+  and posted as a *single* heap entry via
   :meth:`Simulator.post_batch`, drained inline without re-heapify.
   The legacy variant posts the identical delivery schedule one event
   at a time.  ``--check`` additionally gates this workload against an
@@ -181,10 +181,8 @@ def timer_churn(n: int, fast: bool) -> dict:
 
 
 def vectorized_pipeline(n: int, fast: bool) -> dict:
-    """Batched link shape: burst completion times in one numpy step,
+    """Batched link shape: burst completion times computed up front,
     one ``post_batch`` heap entry per burst, inline drain."""
-    import numpy as np
-
     sim = Simulator()
     burst = 64
     bit_time = 12_000 / 1e8  # 1500-byte packet on a 100 Mbit/s link
@@ -201,8 +199,8 @@ def vectorized_pipeline(n: int, fast: bool) -> dict:
             return
         count = min(burst, n - sent)
         state["sent"] = sent + count
-        acc = np.arange(1, count + 1, dtype=np.float64) * bit_time
-        times = (sim.now + acc).tolist()
+        now = sim.now
+        times = [now + index * bit_time for index in range(1, count + 1)]
         if fast:
             sim.post_batch(times, deliver, list(range(sent, sent + count)))
         else:

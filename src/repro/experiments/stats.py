@@ -20,7 +20,8 @@ from typing import Iterable, List, Sequence, Tuple
 def quantile(samples: Sequence[float], q: float) -> float:
     """Linear-interpolation quantile of unsorted ``samples``.
 
-    ``q`` in [0, 1].  Matches numpy's default ('linear') method.
+    ``q`` in [0, 1].  Hyndman & Fan type 7, the common 'linear'
+    default of statistics packages.
     """
     if not samples:
         raise ValueError("quantile of empty sample set")

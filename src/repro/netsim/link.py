@@ -27,25 +27,14 @@ import bisect
 import collections
 import random
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 from repro.netsim.packet import Packet
 from repro.obs.metrics import BYTES_EDGES
 from repro.sim.engine import Simulator
-from repro.sim.fastpath import scalar_mode
 
 #: Queue length at which :meth:`Link._serve_next` switches from the
-#: scalar per-packet path to a batched burst.  A singleton queue stays
-#: scalar (zero batch-build overhead on idle links).
+#: per-packet path to a batched burst.  A singleton queue stays
+#: per-packet (zero batch-build overhead on idle links).
 _BATCH_MIN = 2
-
-#: Burst size at which RNG-free links switch from the sequential
-#: replication loop to the numpy path.  Both produce bit-identical
-#: floats; numpy only amortizes better on long bursts.
-_NUMPY_MIN = 16
 
 #: Build-time outcome codes for packets of an active burst, kept so a
 #: mid-burst link-down can rewind the burst's precounted statistics.
@@ -127,14 +116,6 @@ class Link:
     recovery before being handed to ``deliver``.
     """
 
-    #: Route per-packet events through :meth:`Simulator.post` /
-    #: :meth:`Simulator.post_at` (no closure, no Event object) instead
-    #: of the legacy ``schedule(..., lambda: ...)`` form.  Both paths
-    #: consume one engine sequence number per packet per hop, so flipping
-    #: this flag changes allocation behaviour only -- results are
-    #: byte-identical (the determinism guard test asserts this).
-    use_fast_scheduling = True
-
     def __init__(self, sim: Simulator, config: LinkConfig,
                  rng: random.Random, name: str = "link") -> None:
         self.sim = sim
@@ -165,8 +146,8 @@ class Link:
         self._modulated = (config.modulation is not None
                            and config.modulation.sigma != 0.0)
         #: Batched serving enabled?  Cleared by :meth:`disable_batching`
-        #: (mobility / shared-world owners) and by ``REPRO_SCALAR=1``.
-        self._vectorized = not scalar_mode()
+        #: (mobility / shared-world owners) and by :meth:`set_down`.
+        self._batching = True
         # Active-burst bookkeeping.  While a burst is in flight the
         # packets are no longer in ``_queue``, so drop-tail admission
         # and occupancy reads reconstruct "bytes not yet in service"
@@ -199,24 +180,28 @@ class Link:
             if self._batch_starts is not None:
                 self._abort_batch()
             # A link that suffers outages is volatile: stay on the
-            # scalar pipeline from here on so post-recovery RNG draw
-            # sequences match the legacy path (mobility owners already
-            # pin their links at construction; this is the backstop).
-            self._vectorized = False
+            # per-packet pipeline from here on so post-recovery RNG
+            # draws happen at event time (mobility owners already pin
+            # their links at construction; this is the backstop).
+            self._batching = False
 
     def disable_batching(self) -> None:
-        """Pin this link to the scalar per-packet pipeline.
+        """Pin this link to the per-packet pipeline.
 
         Mobility outages (:class:`repro.wireless.mobility.InterfaceOutage`)
         and shared-world residual-capacity coupling
         (:meth:`set_fluid_load` called mid-run) mutate link state while
         packets are in flight.  A precomputed burst cannot follow such
         mutations without replaying RNG draws, so owners of volatile
-        links pin them scalar at construction time; batching on all
-        other links is byte-identical to the scalar path (the
-        determinism guard asserts it).
+        links pin them per-packet at construction time.  On all other
+        links batching is equivalent per link -- same delivery times,
+        RNG draws and stats as the per-packet pipeline -- but cross-link
+        ties resolve by burst build order: a batched delivery carries
+        the engine sequence number taken when its burst was built, not
+        at its packet's service completion, so two links delivering at
+        the same float instant may fire in the opposite order.
         """
-        self._vectorized = False
+        self._batching = False
 
     @property
     def is_down(self) -> bool:
@@ -249,9 +234,9 @@ class Link:
         starts = self._batch_starts
         if starts is not None:
             # Packets of the active burst whose service starts after
-            # now are, in scalar terms, still buffered: count them so
-            # drop-tail decisions and the peak-queue statistic stay
-            # byte-identical to the per-packet pipeline.
+            # now are, in per-packet terms, still buffered: count them
+            # so drop-tail decisions and the peak-queue statistic stay
+            # identical to the per-packet pipeline.
             occupancy += self._batch_suffix[
                 bisect.bisect_right(starts, self.sim.now)]
         if occupancy + size > self.config.buffer_bytes:
@@ -306,7 +291,7 @@ class Link:
 
         The batched pipeline evaluates this at each packet's *future*
         service-start time, replicating exactly the modulation draws
-        the scalar path would make at those event times.  The
+        the per-packet path would make at those event times.  The
         no-modulation check is hoisted into the ``_modulated`` flag so
         unmodulated links never enter :meth:`_step_modulation` at all.
         """
@@ -358,32 +343,26 @@ class Link:
             self._busy = False
             return
         self._busy = True
-        if (self._vectorized and len(queue) >= _BATCH_MIN
-                and self.use_fast_scheduling):
+        if self._batching and len(queue) >= _BATCH_MIN:
             self._serve_burst()
             return
         packet = queue.popleft()
         size = packet.wire_size
         self._queue_bytes -= size
         service_time = size * 8.0 / self.current_rate()
-        if self.use_fast_scheduling:
-            self.sim.post(service_time, self._service_done, packet)
-        else:
-            self.sim.schedule(service_time,
-                              lambda: self._service_done(packet),
-                              name=f"{self.name}.service")
+        self.sim.post(service_time, self._service_done, packet)
 
     def _serve_burst(self) -> None:
         """Serve the whole queue as one precomputed burst.
 
         Replays, at build time, exactly the arithmetic and RNG draw
-        sequence the scalar path would perform across the burst --
+        sequence the per-packet path would perform across the burst --
         modulation steps at each service start, then jitter, loss and
         ARQ draws at each service completion -- and posts every
         surviving delivery as a single batched engine event plus one
         continuation at the burst's end of service.  Packets arriving
         mid-burst queue behind it and are served by the continuation,
-        at the same service-start times the scalar path would give
+        at the same service-start times the per-packet path would give
         them.
         """
         queue = self._queue
@@ -396,83 +375,55 @@ class Link:
         now = self.sim.now
         prop = config.prop_delay
         arq = config.arq
-        rng_free = (not self._modulated and config.loss_rate == 0.0
-                    and config.jitter_mean == 0.0
-                    and (arq is None or arq.error_rate == 0.0))
-        if rng_free and count >= _NUMPY_MIN and _np is not None:
-            # Vectorized path.  np.cumsum accumulates sequentially, so
-            # seeding element 0 with `now` reproduces the scalar chain
-            # ((now + s1) + s2) ... bit-for-bit; the FIFO clamp is a
-            # running maximum seeded with the last delivery time.
-            rate = self._rate_at(now)
-            acc = _np.empty(count + 1, dtype=_np.float64)
-            acc[0] = now
-            acc[1:] = _np.asarray(sizes, dtype=_np.float64) * 8.0 / rate
-            completions = _np.cumsum(acc)
-            starts = completions[:count].tolist()
-            burst_end = float(completions[count])
-            clamp = _np.empty(count + 1, dtype=_np.float64)
-            clamp[0] = self._last_delivery_time
-            clamp[1:] = completions[1:] + prop
-            delivery_times = _np.maximum.accumulate(clamp)[1:].tolist()
-            delivery_args = packets
-            entry_index = list(range(count))
-            outcomes = [0] * count
-            self._last_delivery_time = delivery_times[-1]
-            stats = self.stats
-            stats.packets_delivered += count
-            stats.bytes_delivered += sum(sizes)
-        else:
-            # Sequential replication: the exact scalar per-packet loop,
-            # evaluated ahead of time.  Draw order matches the event
-            # interleaving of the scalar pipeline: modulation at this
-            # packet's service start, then its propagation draws, then
-            # the next packet's modulation step.
-            rng = self.rng
-            stats = self.stats
-            jitter_mean = config.jitter_mean
-            loss_rate = config.loss_rate
-            arq_on = arq is not None and arq.error_rate > 0.0
-            starts = [0.0] * count
-            delivery_times: list = []
-            delivery_args: list = []
-            entry_index = [-1] * count
-            outcomes = [0] * count
-            last = self._last_delivery_time
-            t = now
-            for j in range(count):
-                starts[j] = t
-                size = sizes[j]
-                t = t + size * 8.0 / self._rate_at(t)
-                delay = prop
-                if jitter_mean > 0.0:
-                    delay += rng.expovariate(1.0 / jitter_mean)
-                if loss_rate > 0.0 and rng.random() < loss_rate:
-                    stats.drops_loss += 1
-                    outcomes[j] = _LOSS
-                    continue
-                if arq_on:
-                    if rng.random() < arq.error_rate:
-                        if rng.random() < arq.residual_loss:
-                            stats.drops_arq_residual += 1
-                            outcomes[j] = _ARQ_LOSS
-                            continue
-                        stats.arq_recoveries += 1
-                        outcomes[j] = _ARQ_RECOVERED
-                        delay += rng.uniform(arq.recovery_min,
-                                             arq.recovery_max)
-                stats.packets_delivered += 1
-                stats.bytes_delivered += size
-                delivery_time = t + delay
-                if delivery_time < last:
-                    delivery_time = last
-                else:
-                    last = delivery_time
-                entry_index[j] = len(delivery_times)
-                delivery_times.append(delivery_time)
-                delivery_args.append(packets[j])
-            self._last_delivery_time = last
-            burst_end = t
+        # The per-packet loop, evaluated ahead of time.  Draw order
+        # matches the event interleaving of the per-packet pipeline:
+        # modulation at this packet's service start, then its
+        # propagation draws, then the next packet's modulation step.
+        rng = self.rng
+        stats = self.stats
+        jitter_mean = config.jitter_mean
+        loss_rate = config.loss_rate
+        arq_on = arq is not None and arq.error_rate > 0.0
+        starts = [0.0] * count
+        delivery_times: list = []
+        delivery_args: list = []
+        entry_index = [-1] * count
+        outcomes = [0] * count
+        last = self._last_delivery_time
+        t = now
+        for j in range(count):
+            starts[j] = t
+            size = sizes[j]
+            t = t + size * 8.0 / self._rate_at(t)
+            delay = prop
+            if jitter_mean > 0.0:
+                delay += rng.expovariate(1.0 / jitter_mean)
+            if loss_rate > 0.0 and rng.random() < loss_rate:
+                stats.drops_loss += 1
+                outcomes[j] = _LOSS
+                continue
+            if arq_on:
+                if rng.random() < arq.error_rate:
+                    if rng.random() < arq.residual_loss:
+                        stats.drops_arq_residual += 1
+                        outcomes[j] = _ARQ_LOSS
+                        continue
+                    stats.arq_recoveries += 1
+                    outcomes[j] = _ARQ_RECOVERED
+                    delay += rng.uniform(arq.recovery_min,
+                                         arq.recovery_max)
+            stats.packets_delivered += 1
+            stats.bytes_delivered += size
+            delivery_time = t + delay
+            if delivery_time < last:
+                delivery_time = last
+            else:
+                last = delivery_time
+            entry_index[j] = len(delivery_times)
+            delivery_times.append(delivery_time)
+            delivery_args.append(packets[j])
+        self._last_delivery_time = last
+        burst_end = t
         suffix = [0] * (count + 1)
         total = 0
         for j in range(count - 1, -1, -1):
@@ -507,7 +458,7 @@ class Link:
         in the air and still deliver.  Rewind the burst's precounted
         statistics for the former and revoke their delivery entries.
         The RNG draws made for them at build time are not un-drawn --
-        volatile links are pinned scalar by their owners, so this path
+        volatile links are pinned per-packet by their owners, so this path
         only softens direct ``set_down`` use on a batching link.
         """
         starts = self._batch_starts
@@ -543,7 +494,7 @@ class Link:
         self._batch = None
         self._batch_starts = None
         # The burst-done continuation still fires at the original end
-        # of serialization and resumes (now scalar) service there.
+        # of serialization and resumes (now per-packet) service there.
 
     def _service_done(self, packet: Packet) -> None:
         self._propagate(packet)
@@ -577,12 +528,7 @@ class Link:
             delivery_time = self._last_delivery_time
         else:
             self._last_delivery_time = delivery_time
-        if self.use_fast_scheduling:
-            self.sim.post_at(delivery_time, self.deliver, packet)
-        else:
-            self.sim.schedule_at(delivery_time,
-                                 lambda: self.deliver(packet),
-                                 name=f"{self.name}.deliver")
+        self.sim.post_at(delivery_time, self.deliver, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} rate={self.config.rate_bps / 1e6:.1f}Mbps "

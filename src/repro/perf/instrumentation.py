@@ -81,15 +81,12 @@ class Instrumentation(NullInstrumentation):
         self.add("events_posted", sim.events_posted)
         self.add("pool_reuses", sim.pool_reuses)
         self.add("heap_compactions", sim.heap_compactions)
-        # Vectorized-core telemetry: batched link deliveries and the
-        # arena scoreboard's occupancy high-water mark.
+        # Link burst batching telemetry.
         self.add("batches_posted", sim.batches_posted)
         self.add("batch_entries", sim.batch_entries)
         self.add("batch_inline", sim.batch_inline)
-        for name, value in (("peak_heap", sim.peak_heap),
-                            ("arena_peak", sim.arena_peak)):
-            if value > self.counters.get(name, 0):
-                self.counters[name] = value
+        if sim.peak_heap > self.counters.get("peak_heap", 0):
+            self.counters["peak_heap"] = sim.peak_heap
 
     def events_per_sec(self, phase: str = "simulate") -> Optional[float]:
         """Engine throughput: events processed over a phase's seconds."""
@@ -113,7 +110,7 @@ class Instrumentation(NullInstrumentation):
         for name, elapsed in report.get("phases_s", {}).items():
             self.phases[name] = self.phases.get(name, 0.0) + elapsed
         for name, value in report.get("counters", {}).items():
-            if name in ("peak_heap", "arena_peak"):
+            if name == "peak_heap":
                 if value > self.counters.get(name, 0):
                     self.counters[name] = value
             else:

@@ -24,14 +24,22 @@ single re-keyed entry when an unrelated event intervenes.  A burst of
 ``n``, while observable ordering is exactly what ``n`` individual
 ``post_at`` calls with one shared sequence number would produce.
 
+A batched link is therefore equivalent to the per-packet link *per
+link* (same delivery times, RNG draws and stats), but cross-link ties
+resolve by burst build order: the burst's sequence number is taken
+when it is built, while a per-packet link takes one at each packet's
+service completion.  Two links delivering at the same float instant
+can fire in opposite order on the two paths.
+
 The sequence number makes ordering total and stable (two events
 scheduled for the same instant fire in the order they were scheduled),
 which keeps simulations deterministic and therefore reproducible and
 testable.  Every scheduling primitive -- ``schedule``, ``schedule_at``,
 ``post``, ``post_at`` and ``reschedule`` -- consumes exactly one
-sequence number, so swapping one primitive for another (e.g. the
-closure-based legacy path for the arg-carrying fast path) leaves the
-event order, and therefore simulation results, bit-for-bit identical.
+sequence number, so swapping one primitive for another (e.g. a
+closure passed to ``schedule`` for the arg-carrying ``post``) leaves
+the event order, and therefore simulation results, bit-for-bit
+identical.
 
 Cancellation is lazy: the entry stays in the heap but is skipped when
 popped.  To stop cancelled timers from accumulating (a long transfer
@@ -223,9 +231,6 @@ class Simulator:
         self.batch_entries = 0
         #: Batch entries drained inline (no heap pop of their own).
         self.batch_inline = 0
-        #: High-water mark of live slots across all segment arenas
-        #: attached to this simulator (see :mod:`repro.sim.arena`).
-        self.arena_peak = 0
         #: Active run()'s ``until`` bound; inline batch draining must
         #: not fire past it (the remainder is pushed back instead).
         self._batch_limit = float("inf")

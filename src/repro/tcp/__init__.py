@@ -10,6 +10,8 @@ implements that legacy flow:
   estimator with Karn's algorithm applied by the endpoint.
 * :mod:`repro.tcp.reassembly` -- receiver-side sequence-space
   reassembly (out-of-order queue, SACK block generation).
+* :mod:`repro.tcp.scoreboard` -- the sender's SACK scoreboard of
+  ranges in flight, SACKed or deemed lost.
 * :mod:`repro.tcp.endpoint` -- the endpoint state machine: the 3-way
   handshake, slow start (IW = 10, configurable initial ssthresh),
   congestion avoidance via a pluggable congestion controller, fast
@@ -23,20 +25,14 @@ interface (:class:`repro.tcp.endpoint.TcpDelegate`).
 
 from repro.tcp.segment import Flags, Segment
 from repro.tcp.rto import RtoEstimator
-from repro.tcp.reassembly import (
-    ArrayReassemblyQueue,
-    ReassemblyQueue,
-    make_reassembly_queue,
-)
+from repro.tcp.reassembly import ReassemblyQueue
 from repro.tcp.endpoint import TcpConfig, TcpEndpoint, TcpListener
 
 __all__ = [
     "Flags",
     "Segment",
     "RtoEstimator",
-    "ArrayReassemblyQueue",
     "ReassemblyQueue",
-    "make_reassembly_queue",
     "TcpConfig",
     "TcpEndpoint",
     "TcpListener",

@@ -26,10 +26,10 @@ from typing import Callable, Optional, Protocol, Tuple
 
 from repro.netsim.host import Host
 from repro.netsim.packet import Packet
-from repro.sim.arena import FLIGHT, LOST, SACKED, make_scoreboard
 from repro.sim.engine import Event, Simulator
-from repro.tcp.reassembly import make_reassembly_queue
+from repro.tcp.reassembly import ReassemblyQueue
 from repro.tcp.rto import RtoEstimator
+from repro.tcp.scoreboard import FLIGHT, LOST, SendScoreboard
 from repro.tcp.segment import Flags, Segment
 
 # Import only for typing; the dependency is one-way at runtime.
@@ -130,12 +130,6 @@ class TcpDelegate(Protocol):
         ...
 
 
-# Scoreboard states (re-exported from the arena for call sites/tests).
-_FLIGHT = FLIGHT  # transmitted, assumed in the network
-_SACKED = SACKED  # selectively acknowledged
-_LOST = LOST      # deemed lost (retransmitted or RTO-marked)
-
-
 @dataclass
 class EndpointStats:
     """Counters mirroring what tcptrace extracts from real captures."""
@@ -198,9 +192,8 @@ class TcpEndpoint:
         self.snd_una = 0
         self.snd_nxt = 0
         self.peer_window = 64 * 1024
-        # The SACK scoreboard: arena-backed column store by default,
-        # the legacy object-per-segment dict under REPRO_SCALAR=1.
-        self._sent = make_scoreboard(sim)
+        # The SACK scoreboard (see repro.tcp.scoreboard).
+        self._sent = SendScoreboard()
         self._pipe = 0
         self._pending_bytes = 0      # app bytes not yet segmented (plain mode)
         self._dupacks = 0
@@ -208,7 +201,7 @@ class TcpEndpoint:
         self._recover = 0
         self._recovery_epoch = 0
         self._highest_sacked = 0
-        self._lost_count = 0         # scoreboard ranges currently in _LOST
+        self._lost_count = 0         # scoreboard ranges currently LOST
         self._rto_event: Optional[Event] = None
         self._syn_event: Optional[Event] = None
         self._syn_attempts = 0
@@ -218,7 +211,7 @@ class TcpEndpoint:
         self._consecutive_timeouts = 0
 
         # Receiver state.
-        self.reassembly = make_reassembly_queue(rcv_nxt=1)
+        self.reassembly = ReassemblyQueue(rcv_nxt=1)
         self._peer_fin_seq: Optional[int] = None
         self._peer_fin_delivered = False
         self._unacked_segments = 0
@@ -537,9 +530,9 @@ class TcpEndpoint:
         return self._sent.find_lost(self._recovery_epoch)
 
     def _retransmit(self, sent) -> None:
-        if sent.state == _FLIGHT:
+        if sent.state == FLIGHT:
             self._pipe -= sent.seq_space
-        elif sent.state == _LOST:
+        elif sent.state == LOST:
             self._lost_count -= 1
         sent.mark_retransmitted(self._recovery_epoch)
         self._pipe += sent.seq_space

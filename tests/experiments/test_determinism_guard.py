@@ -2,13 +2,14 @@
 campaign output.
 
 Runs one small campaign under every combination the perf work made
-switchable -- legacy closure-based link scheduling vs the fast
-arg-carrying path, each CSV-supporting capture level, and every run
-cache / dispatch configuration (cache off, cache cold, cache warm,
-chunked submission, LJF vs plan-order dispatch) -- and asserts the
-rendered CSVs are byte-identical."""
+switchable -- each CSV-supporting capture level, and every run cache /
+dispatch configuration (cache off, cache cold, cache warm, chunked
+submission, LJF vs plan-order dispatch) -- and asserts the rendered
+CSVs are byte-identical."""
 
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -18,10 +19,11 @@ from repro.experiments.report import csv_text
 from repro.experiments.runner import Campaign, CampaignSpec
 from repro.experiments.scenarios import (
     download_time_rows,
+    large_flows_campaign,
     scheduler_regret_rows,
     traffic_share_rows,
 )
-from repro.netsim.link import Link
+from repro.experiments.storage import result_to_dict
 from repro.wireless.profiles import TimeOfDay
 
 KB = 1024
@@ -35,27 +37,21 @@ PINNED_SHARES = \
     "f314d7f725c10b129153f3c93c7e69782c44576bf99a87b8a5c6b0d0141591aa"
 
 
-def _campaign_csvs(fast: bool = True, level: str = "metrics-only",
-                   trace: str = "off", trace_dir=None, jobs: int = 1,
-                   cache=None, chunk: int = 1, dispatch: str = "ljf",
+def _campaign_csvs(level: str = "metrics-only", trace: str = "off",
+                   trace_dir=None, jobs: int = 1, cache=None,
+                   chunk: int = 1, dispatch: str = "ljf",
                    backend: str = "pool"):
     """Run the guard campaign; return its figure CSVs as bytes."""
-    original = Link.use_fast_scheduling
-    Link.use_fast_scheduling = fast
-    try:
-        spec = CampaignSpec(
-            name="guard",
-            specs=(FlowSpec.single_path("wifi"),
-                   FlowSpec.mptcp(carrier="att", controller="coupled")),
-            sizes=(64 * KB,), repetitions=1,
-            periods=(TimeOfDay.NIGHT,), base_seed=7)
-        campaign = Campaign(spec, capture_level=level, trace=trace,
-                            trace_dir=trace_dir, jobs=jobs,
-                            cache=cache, chunk=chunk, dispatch=dispatch,
-                            backend=backend)
-        results = campaign.run()
-    finally:
-        Link.use_fast_scheduling = original
+    spec = CampaignSpec(
+        name="guard",
+        specs=(FlowSpec.single_path("wifi"),
+               FlowSpec.mptcp(carrier="att", controller="coupled")),
+        sizes=(64 * KB,), repetitions=1,
+        periods=(TimeOfDay.NIGHT,), base_seed=7)
+    campaign = Campaign(spec, capture_level=level, trace=trace,
+                        trace_dir=trace_dir, jobs=jobs, cache=cache,
+                        chunk=chunk, dispatch=dispatch, backend=backend)
+    results = campaign.run()
     assert all(result.completed for result in results)
     downloads = csv_text(*download_time_rows(results))
     shares = csv_text(*traffic_share_rows(results))
@@ -65,23 +61,12 @@ def _campaign_csvs(fast: bool = True, level: str = "metrics-only",
 @pytest.fixture(scope="module")
 def reference_csvs():
     """The configuration campaigns actually run with."""
-    return _campaign_csvs(fast=True, level="metrics-only")
-
-
-def test_fast_path_matches_legacy_scheduling(reference_csvs):
-    assert _campaign_csvs(fast=False, level="metrics-only") \
-        == reference_csvs
+    return _campaign_csvs(level="metrics-only")
 
 
 @pytest.mark.parametrize("level", ["full", "headers"])
 def test_capture_levels_agree_byte_for_byte(reference_csvs, level):
-    assert _campaign_csvs(fast=True, level=level) == reference_csvs
-
-
-def test_legacy_scheduling_with_full_capture(reference_csvs):
-    """The fully-legacy configuration (what the pre-overhaul code
-    effectively ran) still reproduces today's bytes."""
-    assert _campaign_csvs(fast=False, level="full") == reference_csvs
+    assert _campaign_csvs(level=level) == reference_csvs
 
 
 def test_cache_cold_warm_and_off_agree_byte_for_byte(reference_csvs,
@@ -149,6 +134,32 @@ def test_campaign_bytes_pinned_across_prs(reference_csvs):
     assert hashlib.sha256(shares).hexdigest() == PINNED_SHARES
 
 
+#: SHA-256 of the unthinned result record (``max_samples=None``) of one
+#: large-flows cell (MP-4, AT&T, reno, 512 KB, base seed 2013).  Four subflows over identical
+#: links deliver at the same float instants, so the bytes also pin the
+#: order in which cross-link ties fire: a batched link's deliveries
+#: carry the sequence number taken when its burst was built, a
+#: per-packet link's the one taken at each service completion.  Moving
+#: any link between the two paths reorders ``rtt_samples`` and
+#: ``ofo_delays`` here, and needs a deliberate re-pin.
+PINNED_TIE_ORDER_CELL = \
+    "cb4166809e176ba7f361e248946c5cfda3ebb5ca717c20ce96b4f5ead3d48908"
+
+
+def test_cross_link_tie_order_pinned():
+    spec = dataclasses.replace(
+        large_flows_campaign(repetitions=1, base_seed=2013),
+        sizes=(512 * KB,))
+    cell = next(descriptor for descriptor in Campaign(spec).plan()
+                if descriptor.spec.paths == 4
+                and descriptor.spec.controller == "reno")
+    result = cell.run()
+    assert result.completed
+    blob = json.dumps(result_to_dict(result, max_samples=None),
+                      sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_TIE_ORDER_CELL
+
+
 # ----------------------------------------------------------------------
 # The scheduler-lab campaign under the same guard
 # ----------------------------------------------------------------------
@@ -202,8 +213,8 @@ def test_tracing_leaves_campaign_bytes_untouched(reference_csvs, trace,
     """Protocol-event tracing is passive: running the same campaign
     with the flight recorder or full JSONL streaming enabled must
     leave every figure CSV byte-identical."""
-    traced = _campaign_csvs(fast=True, level="metrics-only",
-                            trace=trace, trace_dir=str(tmp_path))
+    traced = _campaign_csvs(level="metrics-only", trace=trace,
+                            trace_dir=str(tmp_path))
     assert traced == reference_csvs
     if trace == "jsonl":
         # The trace actually streamed (one file per campaign cell).
@@ -273,8 +284,7 @@ def test_world_cells_do_not_disturb_plain_cells(reference_csvs):
     the plain guard campaign's bytes (no RNG or engine-state leaks
     between cells)."""
     _world_campaign_csv()
-    assert _campaign_csvs(fast=True, level="metrics-only") == \
-        reference_csvs
+    assert _campaign_csvs(level="metrics-only") == reference_csvs
 
 
 # ----------------------------------------------------------------------
@@ -345,5 +355,4 @@ def test_metrics_registry_is_passive(reference_csvs):
         csv_text(*download_time_rows(plain))
     assert all(result.obs_metrics for result in metered)
     assert all(result.obs_metrics is None for result in plain)
-    assert _campaign_csvs(fast=True, level="metrics-only") == \
-        reference_csvs
+    assert _campaign_csvs(level="metrics-only") == reference_csvs

@@ -1,18 +1,20 @@
-"""Vectorized packet core: batched link pipeline equivalence tests.
+"""Link burst batching: per-link equivalence tests.
 
 The batched pipeline (``Link._serve_burst`` + ``Simulator.post_batch``)
-must be *unobservable*: identical delivery streams (time, subflow
-sequence number, DSN), identical RNG consumption, identical stats,
-against the legacy scalar per-packet pipeline selected by
-``REPRO_SCALAR=1``.  A hypothesis property drives both pipelines
-through random bursts, loss, jitter, ARQ and rate modulation.
+is equivalent per link to the per-packet pipeline a link falls back to
+after :meth:`Link.disable_batching`: identical delivery streams (time,
+subflow sequence number, DSN), identical RNG consumption, identical
+stats.  Cross-link ties resolve by burst build order, so two links
+delivering at the same instant may fire in either order; the
+determinism guard pins that order on a real cell.  A hypothesis
+property drives both pipelines through random bursts, loss, jitter,
+ARQ and rate modulation.
 
 Also here: the regression test for the hoisted no-modulation check
 (satellite): unmodulated links must never enter the AR(1) stepping
 code on the per-packet path.
 """
 
-import os
 import random
 
 from hypothesis import given, settings
@@ -78,53 +80,47 @@ def test_modulated_link_still_steps_per_service_start():
 
 
 # ----------------------------------------------------------------------
-# Batched vs REPRO_SCALAR=1 equivalence (hypothesis property)
+# Batched vs per-packet equivalence (hypothesis property)
 # ----------------------------------------------------------------------
 
 def _drive(bursts, loss_rate, jitter, use_arq, modulated, seed,
-           scalar):
+           per_packet):
     """Run one burst schedule through a link; return the delivery
     stream as exact (time, seq, dsn) triples plus RNG state and stats.
 
-    ``scalar=True`` builds the link under ``REPRO_SCALAR=1``, selecting
-    the legacy per-packet pipeline at construction time.
+    ``per_packet=True`` pins the link to the per-packet pipeline with
+    :meth:`Link.disable_batching` before any packet is offered.
     """
-    if scalar:
-        os.environ["REPRO_SCALAR"] = "1"
-    try:
-        sim = Simulator()
-        config = LinkConfig(
-            rate_bps=4e6, prop_delay=0.005, buffer_bytes=200_000,
-            loss_rate=loss_rate, jitter_mean=jitter,
-            arq=ArqConfig(error_rate=0.1, recovery_min=0.002,
-                          recovery_max=0.01,
-                          residual_loss=0.2) if use_arq else None,
-            modulation=RateModulation(sigma=0.05, interval=0.01)
-            if modulated else None)
-        link = Link(sim, config, random.Random(seed))
-        assert link._vectorized is not scalar
+    sim = Simulator()
+    config = LinkConfig(
+        rate_bps=4e6, prop_delay=0.005, buffer_bytes=200_000,
+        loss_rate=loss_rate, jitter_mean=jitter,
+        arq=ArqConfig(error_rate=0.1, recovery_min=0.002,
+                      recovery_max=0.01,
+                      residual_loss=0.2) if use_arq else None,
+        modulation=RateModulation(sigma=0.05, interval=0.01)
+        if modulated else None)
+    link = Link(sim, config, random.Random(seed))
+    if per_packet:
+        link.disable_batching()
 
-        stream = []
+    stream = []
 
-        def deliver(packet):
-            segment = packet.segment
-            stream.append((sim.now, segment.seq,
-                           segment.options.dss.dsn))
+    def deliver(packet):
+        segment = packet.segment
+        stream.append((sim.now, segment.seq, segment.options.dss.dsn))
 
-        link.deliver = deliver
-        at = 0.0
-        for index, (gap, size) in enumerate(bursts):
-            at += gap * 0.0004
-            options = MptcpOptions(dss=DssMapping(
-                dsn=100_000 + 2 * index, ssn=index, length=size))
-            segment = Segment(src_port=1, dst_port=2, seq=index,
-                              payload_len=size, options=options)
-            sim.schedule(at, link.send, Packet("a", "b", segment))
-        sim.run()
-        return stream, link.rng.random(), link.stats
-    finally:
-        if scalar:
-            del os.environ["REPRO_SCALAR"]
+    link.deliver = deliver
+    at = 0.0
+    for index, (gap, size) in enumerate(bursts):
+        at += gap * 0.0004
+        options = MptcpOptions(dss=DssMapping(
+            dsn=100_000 + 2 * index, ssn=index, length=size))
+        segment = Segment(src_port=1, dst_port=2, seq=index,
+                          payload_len=size, options=options)
+        sim.schedule(at, link.send, Packet("a", "b", segment))
+    sim.run()
+    return stream, link.rng.random(), link.stats, sim.batches_posted
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,22 +136,25 @@ def _drive(bursts, loss_rate, jitter, use_arq, modulated, seed,
 )
 def test_batched_pipeline_matches_scalar(bursts, loss_rate, jitter,
                                          use_arq, modulated, seed):
-    """Satellite: batched and REPRO_SCALAR=1 runs produce bit-equal
-    (time, seq, dsn) delivery streams, RNG states and stats across
-    random bursts, losses, jitter, ARQ and modulation."""
+    """Batched and per-packet runs produce bit-equal (time, seq, dsn)
+    delivery streams, RNG states and stats across random bursts,
+    losses, jitter, ARQ and modulation."""
     batched = _drive(bursts, loss_rate, jitter, use_arq, modulated,
-                     seed, scalar=False)
-    legacy = _drive(bursts, loss_rate, jitter, use_arq, modulated,
-                    seed, scalar=True)
-    assert batched[0] == legacy[0]
-    assert batched[1] == legacy[1]
-    assert batched[2] == legacy[2]
+                     seed, per_packet=False)
+    reference = _drive(bursts, loss_rate, jitter, use_arq, modulated,
+                       seed, per_packet=True)
+    assert batched[:3] == reference[:3]
+    assert reference[3] == 0
 
 
-def test_numpy_clean_link_path_matches_scalar():
-    """The RNG-free numpy path (>= 16 queued packets, no loss, no
-    jitter, no ARQ, no modulation) must also be float-exact."""
+def test_clean_link_deep_burst_matches_scalar():
+    """A 40-deep burst on an RNG-free link (no loss, jitter, ARQ or
+    modulation) goes through the sequential replication loop and must
+    be float-exact too."""
     bursts = [(0, 1448)] * 40  # one instant: a 40-deep burst
-    batched = _drive(bursts, 0.0, 0.0, False, False, 11, scalar=False)
-    legacy = _drive(bursts, 0.0, 0.0, False, False, 11, scalar=True)
-    assert batched == legacy
+    batched = _drive(bursts, 0.0, 0.0, False, False, 11,
+                     per_packet=False)
+    reference = _drive(bursts, 0.0, 0.0, False, False, 11,
+                       per_packet=True)
+    assert batched[:3] == reference[:3]
+    assert batched[3] > 0 and reference[3] == 0

@@ -29,7 +29,7 @@ def test_pipe_matches_unacked_unsacked_bytes():
     net, harness = established_pair()
     server = harness.server()
     manual = sum(s.seq_space for s in server._sent.values()
-                 if s.state == 0)  # _FLIGHT
+                 if s.state == 0)  # FLIGHT
     assert server.flight_bytes == manual
 
 
@@ -57,10 +57,10 @@ def test_mark_sack_losses_requires_dupthresh_of_sacked_data():
     # SACK only the segment right after the first: 1 MSS above the
     # hole -- below DupThresh * MSS, so nothing may be marked lost.
     server._process_sack(((sent[1].seq, sent[1].end_seq),))
-    assert sent[0].state == 0  # still _FLIGHT
+    assert sent[0].state == 0  # still FLIGHT
     # SACK three more segments: now the hole is marked lost.
     server._process_sack(((sent[1].seq, sent[4].end_seq),))
-    assert sent[0].state == 2  # _LOST
+    assert sent[0].state == 2  # LOST
 
 
 def test_advertised_window_reflects_buffered_out_of_order():

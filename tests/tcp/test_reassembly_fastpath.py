@@ -14,11 +14,7 @@ import random
 
 import pytest
 
-from repro.tcp.reassembly import (
-    ArrayReassemblyQueue,
-    ReassemblyQueue,
-    make_reassembly_queue,
-)
+from repro.tcp.reassembly import ReassemblyQueue
 
 SENTINEL = 10 ** 12
 
@@ -116,102 +112,22 @@ def test_buffered_bytes_counter_matches_stored_ranges():
         assert queue.buffered_bytes == stored
 
 
-# ----------------------------------------------------------------------
-# ArrayReassemblyQueue (vectorized core) vs the scalar reference
-# ----------------------------------------------------------------------
-
-def _random_offers(seed, count=300):
-    rng = random.Random(seed)
-    mss = 1000
-    offers = []
-    cursor = 0
-    for index in range(count):
-        roll = rng.random()
-        if roll < 0.55:
-            start = cursor
-            cursor += mss
-        elif roll < 0.75:
-            start = cursor + rng.randrange(1, 5) * mss
-        elif roll < 0.9:
-            start = max(0, cursor - rng.randrange(1, 6) * mss)
-        else:
-            start = max(0, cursor - rng.randrange(1, 3) * mss
-                        + rng.randrange(-500, 500))
-        length = mss if rng.random() < 0.8 else rng.randrange(1, 2 * mss)
-        offers.append((start, start + length, index))
-    return offers
-
-
-@pytest.mark.parametrize("seed", [1, 7, 42, 2013, 777])
-def test_array_queue_matches_scalar_on_random_streams(seed):
-    offers = _random_offers(seed)
-    assert drive(ArrayReassemblyQueue(), offers) == \
-        drive(ReassemblyQueue(), offers)
-
-
-def test_array_queue_matches_scalar_on_corner_cases():
-    cases = [
-        # pure in-order burst (one vectorized chain pop)
-        [(i * 100, (i + 1) * 100, i) for i in range(30)],
-        # hole filled by the exact missing piece, long buffered run
-        [(100 * i, 100 * (i + 1), i) for i in range(1, 20)]
-        + [(0, 100, "plug")],
-        # duplicates and partial overlaps around the head
-        [(0, 100, 1), (0, 100, 2), (50, 150, 3), (100, 300, 4),
-         (250, 350, 5), (0, 400, 6)],
-        # single-byte segments (FIN-style) and adjacency
-        [(0, 1, "f0"), (2, 3, "hole"), (1, 2, "plug"), (3, 4, "f1")],
-    ]
-    for offers in cases:
-        assert drive(ArrayReassemblyQueue(), offers) == \
-            drive(ReassemblyQueue(), offers)
-
-
-def test_array_queue_survives_reentrant_offer():
+def test_reentrant_offer_delivers_each_range_once():
     """A delivery callback re-enters ``offer`` (the receive buffer does
-    this when an in-order delivery unblocks the application); the array
-    queue must fall back to live-state stepping without duplicating or
-    dropping deliveries."""
+    this when an in-order delivery unblocks the application): the drain
+    must neither duplicate nor drop deliveries."""
+    queue = ReassemblyQueue()
+    delivered = []
 
-    def run(queue):
-        delivered = []
+    def on_in_order(start, end, meta):
+        delivered.append((start, end, meta))
+        if meta == "trigger":
+            queue.offer(300, 400, "nested", on_in_order=on_in_order)
 
-        def on_in_order(start, end, meta):
-            delivered.append((start, end, meta))
-            if meta == "trigger":
-                queue.offer(300, 400, "nested",
-                            on_in_order=on_in_order)
-
-        queue.offer(100, 200, "buffered", on_in_order=on_in_order)
-        queue.offer(200, 300, "trigger", on_in_order=on_in_order)
-        queue.offer(0, 100, "head", on_in_order=on_in_order)
-        return delivered, queue.rcv_nxt, queue.buffered_bytes
-
-    assert run(ArrayReassemblyQueue()) == run(ReassemblyQueue())
-
-
-def test_array_queue_drain_resets_storage():
-    queue = ArrayReassemblyQueue()
-    for index in range(1, 50):
-        queue.offer(index * 100, (index + 1) * 100, index)
-    queue.offer(0, 100, 0)
+    queue.offer(100, 200, "buffered", on_in_order=on_in_order)
+    queue.offer(200, 300, "trigger", on_in_order=on_in_order)
+    queue.offer(0, 100, "head", on_in_order=on_in_order)
+    assert delivered == [(0, 100, "head"), (100, 200, "buffered"),
+                         (200, 300, "trigger"), (300, 400, "nested")]
+    assert queue.rcv_nxt == 400
     assert queue.buffered_bytes == 0
-    assert queue.pending_ranges == []
-    assert queue._head == 0 and queue._tail == 0
-
-
-def test_sack_blocks_and_ranges_return_python_ints():
-    queue = ArrayReassemblyQueue()
-    queue.offer(100, 200)
-    queue.offer(300, 400)
-    for start, end in list(queue.sack_blocks()) + list(queue.pending_ranges):
-        assert type(start) is int and type(end) is int
-
-
-def test_factory_honours_scalar_mode(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALAR", raising=False)
-    assert isinstance(make_reassembly_queue(), ArrayReassemblyQueue)
-    monkeypatch.setenv("REPRO_SCALAR", "1")
-    queue = make_reassembly_queue(rcv_nxt=5)
-    assert type(queue) is ReassemblyQueue
-    assert queue.rcv_nxt == 5
