@@ -147,7 +147,9 @@ class RunCache:
                                         suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                # dumps, not dump: dump streams through the pure-Python
+                # encoder; dumps uses the C one for the same bytes.
+                handle.write(json.dumps(payload, separators=(",", ":")))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)

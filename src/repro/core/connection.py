@@ -442,9 +442,14 @@ class MptcpConnection:
         """
         if max_bytes <= 0:
             return None
+        if (self.next_dsn >= self.total_queued
+                and not self._reinjection_queue
+                and not self._duplication_queue):
+            return None  # nothing queued (every pull on the receiver)
         if subflow.backup and self._regular_path_available(subflow):
             return None  # backup paths carry data only as a last resort
-        reinjection = self._serve_reinjection(subflow, max_bytes)
+        reinjection = (self._serve_reinjection(subflow, max_bytes)
+                       if self._reinjection_queue else None)
         if reinjection is not None:
             if self._trace.enabled:
                 self._trace.emit(self.sim.now, "sched.select",
@@ -454,7 +459,8 @@ class MptcpConnection:
                                  reason="reinjection")
             self.scheduler.on_allocated(subflow, reinjection[1])
             return reinjection
-        duplication = self._serve_duplication(subflow, max_bytes)
+        duplication = (self._serve_duplication(subflow, max_bytes)
+                       if self._duplication_queue else None)
         if duplication is not None:
             if self._trace.enabled:
                 self._trace.emit(self.sim.now, "sched.select",
@@ -654,7 +660,7 @@ class MptcpConnection:
     # ------------------------------------------------------------------
 
     def data_ack_value(self) -> int:
-        return self.receive_buffer.rcv_nxt
+        return self.receive_buffer.queue.rcv_nxt
 
     def data_fin_to_signal(self) -> Optional[int]:
         if self._close_requested:
@@ -679,7 +685,11 @@ class MptcpConnection:
 
     def receive_window(self) -> int:
         """Shared receive buffer space, minus subflow-level stashes."""
-        free = self.receive_buffer.free_space()
+        receive_buffer = self.receive_buffer
+        # free_space(), inlined: this runs for every segment sent.
+        free = receive_buffer.capacity - receive_buffer.queue.buffered_bytes
+        if free < 0:
+            free = 0
         for subflow in self.subflows:  # plain loop: per-segment path
             endpoint = subflow.endpoint
             if endpoint is not None:
@@ -725,8 +735,11 @@ class MptcpConnection:
             if self.fallback_mode is not None:
                 self._on_segment_fallback(subflow, segment)
                 return
-        self._check_peer_fin()
-        self._check_send_complete()
+        # Guarded calls: this runs on every received segment.
+        if self._peer_data_fin is not None:
+            self._check_peer_fin()
+        if self._close_requested:
+            self._check_send_complete()
         if advanced:
             self.push()
 
@@ -749,8 +762,11 @@ class MptcpConnection:
                     self.data_acked = acked
                     self._prune_outstanding()
                     advanced = True
-        self._check_peer_fin()
-        self._check_send_complete()
+        # Guarded calls: this runs on every received segment.
+        if self._peer_data_fin is not None:
+            self._check_peer_fin()
+        if self._close_requested:
+            self._check_send_complete()
         if advanced:
             self.push()
 
@@ -788,7 +804,8 @@ class MptcpConnection:
                         dsn_end: int, arrival_time: float) -> None:
         self.receive_buffer.offer(dsn_start, dsn_end, arrival_time,
                                   subflow.path_name)
-        self._check_peer_fin()
+        if self._peer_data_fin is not None:
+            self._check_peer_fin()
 
     def on_subflow_peer_fin(self, subflow: Subflow) -> None:
         if (self.fallback_mode is not None

@@ -19,7 +19,9 @@ All three use standard slow start below ``ssthresh`` and identical
 halving on loss -- the endpoint performs the decrease; controllers only
 own the congestion-avoidance *increase* (plus OLIA's inter-loss-bytes
 bookkeeping).  Windows are maintained in bytes by the endpoints; the
-formulas are evaluated in packet (MSS) units as in the kernel.
+formulas are evaluated in packet (MSS) units as in the kernel, each
+window as ``max(cwnd / mss, 1.0)`` (written out inline: the controllers
+run on every congestion-avoidance ACK).
 """
 
 from __future__ import annotations
@@ -82,12 +84,6 @@ class CongestionController:
     def _increase(self, flow: WindowedFlow, acked_bytes: int) -> None:
         raise NotImplementedError
 
-    # -- helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _window_packets(flow: WindowedFlow) -> float:
-        return max(flow.cwnd / flow.mss, 1.0)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} flows={len(self.flows)}>"
 
@@ -116,7 +112,7 @@ class CoupledController(CongestionController):
         best = 0.0
         denominator = 0.0
         for flow in self.flows:
-            window = self._window_packets(flow)
+            window = max(flow.cwnd / flow.mss, 1.0)
             rtt = max(flow.smoothed_rtt(), 1e-4)
             total += window
             best = max(best, window / (rtt * rtt))
@@ -126,8 +122,8 @@ class CoupledController(CongestionController):
         return total * best / (denominator * denominator)
 
     def _increase(self, flow: WindowedFlow, acked_bytes: int) -> None:
-        window = self._window_packets(flow)
-        total = sum(self._window_packets(peer) for peer in self.flows)
+        window = max(flow.cwnd / flow.mss, 1.0)
+        total = sum(max(peer.cwnd / peer.mss, 1.0) for peer in self.flows)
         if total <= 0.0:
             total = window
         alpha = self._alpha()
@@ -182,23 +178,26 @@ class OliaController(CongestionController):
 
     def _alphas(self) -> Dict[int, float]:
         """Compute alpha_i for every registered flow."""
-        flow_count = len(self.flows)
-        alphas = {id(flow): 0.0 for flow in self.flows}
+        flows = self.flows
+        flow_count = len(flows)
+        alphas = {id(flow): 0.0 for flow in flows}
         if flow_count < 2:
             return alphas
         # Best paths: largest l-hat^2 / rtt (proxy for available quality).
         quality: Dict[int, float] = {}
-        for flow in self.flows:
-            state = self._paths[id(flow)]
+        paths = self._paths
+        for flow in flows:
+            state = paths[id(flow)]
             rtt = max(flow.smoothed_rtt(), 1e-4)
             quality[id(flow)] = (state.smoothed ** 2) / rtt
         best_quality = max(quality.values())
         best = {key for key, value in quality.items()
                 if value >= best_quality * (1 - 1e-9)}
         # Largest-window paths.
-        max_window = max(self._window_packets(flow) for flow in self.flows)
-        largest = {id(flow) for flow in self.flows
-                   if self._window_packets(flow) >= max_window * (1 - 1e-9)}
+        windows = [max(flow.cwnd / flow.mss, 1.0) for flow in flows]
+        max_window = max(windows)
+        largest = {id(flow) for flow, window in zip(flows, windows)
+                   if window >= max_window * (1 - 1e-9)}
         collected = best - largest
         if not collected:
             return alphas
@@ -209,10 +208,10 @@ class OliaController(CongestionController):
         return alphas
 
     def _increase(self, flow: WindowedFlow, acked_bytes: int) -> None:
-        window = self._window_packets(flow)
+        window = max(flow.cwnd / flow.mss, 1.0)
         rtt = max(flow.smoothed_rtt(), 1e-4)
         denominator = sum(
-            self._window_packets(peer) / max(peer.smoothed_rtt(), 1e-4)
+            max(peer.cwnd / peer.mss, 1.0) / max(peer.smoothed_rtt(), 1e-4)
             for peer in self.flows)
         if denominator <= 0.0:
             denominator = window / rtt

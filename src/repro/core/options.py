@@ -1,7 +1,10 @@
 """MPTCP TCP-option payloads (RFC 6824 subset).
 
 The simulator does not serialize options to bytes; a segment carries at
-most one :class:`MptcpOptions` value object.  The fields mirror the
+most one :class:`MptcpOptions` value object.  Like
+:class:`repro.tcp.segment.Segment`, the option types are immutable
+:class:`typing.NamedTuple` values (built per data segment and per ACK);
+middleboxes derive changed copies with ``_replace``.  The fields mirror the
 options the paper's Section 2.2.1 walks through:
 
 * ``MP_CAPABLE`` on the first subflow's SYN/SYN-ACK, carrying the
@@ -17,12 +20,10 @@ options the paper's Section 2.2.1 walks through:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, slots=True)
-class DssMapping:
+class DssMapping(NamedTuple):
     """Maps a run of subflow payload onto connection sequence space.
 
     ``dsn`` is the data (connection-level) sequence number of the first
@@ -58,8 +59,7 @@ class DssMapping:
         return self.ssn + self.length
 
 
-@dataclass(frozen=True, slots=True)
-class MptcpOptions:
+class MptcpOptions(NamedTuple):
     """The MPTCP option block carried by one segment."""
 
     #: MP_CAPABLE: this SYN (or SYN-ACK) opens a new MPTCP connection.

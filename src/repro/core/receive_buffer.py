@@ -84,7 +84,10 @@ class ConnectionReceiveBuffer:
                  trace=NULL_TRACE_BUS) -> None:
         self.capacity = capacity
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._queue = ReassemblyQueue(rcv_nxt=0)
+        #: The DSN-space reassembly queue (read-only outside this class;
+        #: the connection reads its cumulative point and occupancy on
+        #: every segment it sends).
+        self.queue = ReassemblyQueue(rcv_nxt=0)
         self.metrics = ReceiveBufferMetrics()
         self.on_deliver: Optional[Callable[[int], None]] = None
         # Blocked-interval tracking (rbuf.blocked / rbuf.unblocked
@@ -95,16 +98,16 @@ class ConnectionReceiveBuffer:
     @property
     def rcv_nxt(self) -> int:
         """The connection-level cumulative point (the DATA_ACK value)."""
-        return self._queue.rcv_nxt
+        return self.queue.rcv_nxt
 
     @property
     def buffered_bytes(self) -> int:
         """Out-of-order bytes currently parked in the buffer."""
-        return self._queue.buffered_bytes
+        return self.queue.buffered_bytes
 
     def free_space(self) -> int:
         """Bytes of capacity left (drives the advertised window)."""
-        return max(self.capacity - self._queue.buffered_bytes, 0)
+        return max(self.capacity - self.queue.buffered_bytes, 0)
 
     def offer(self, dsn_start: int, dsn_end: int, arrival_time: float,
               path: str) -> int:
@@ -114,13 +117,13 @@ class ConnectionReceiveBuffer:
         (when the packet reached the host) to the moment the range's
         data sequence numbers become in-order.
         """
-        accepted = self._queue.offer(
-            dsn_start, dsn_end, meta=(arrival_time, path),
-            on_in_order=self._in_order)
+        queue = self.queue
+        accepted = queue.offer(dsn_start, dsn_end, (arrival_time, path),
+                               self._in_order)
         if accepted:
             self.metrics.bytes_by_path[path] = (
                 self.metrics.bytes_by_path.get(path, 0) + accepted)
-            occupancy = self._queue.buffered_bytes
+            occupancy = queue.buffered_bytes
             if occupancy > self.metrics.peak_occupancy:
                 self.metrics.peak_occupancy = occupancy
             if (self._trace.enabled and self._blocked_since is None
@@ -138,7 +141,7 @@ class ConnectionReceiveBuffer:
         self.metrics.record(delay, nbytes, path)
         self.metrics.delivered_bytes += nbytes
         if (self._blocked_since is not None
-                and self._queue.buffered_bytes < self.capacity):
+                and self.queue.buffered_bytes < self.capacity):
             now = self._clock()
             self._trace.emit(now, "rbuf.unblocked",
                              blocked_for=now - self._blocked_since)

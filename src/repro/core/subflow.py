@@ -151,21 +151,21 @@ class Subflow:
 
     def data_options(self, endpoint: TcpEndpoint, ssn: int, dsn: int,
                      length: int) -> Optional[MptcpOptions]:
-        if self.connection.is_fallback:
+        connection = self.connection
+        if connection.fallback_mode is not None:
             # Plain fallback sends no options; the infinite mapping
             # makes an explicit per-segment mapping redundant.
             return None
-        mapping = DssMapping(dsn=dsn, ssn=ssn, length=length)
         return MptcpOptions(
-            dss=mapping,
-            data_ack=self.connection.data_ack_value(),
-            data_fin_dsn=self.connection.data_fin_to_signal(),
-            dead_addrs=self.connection.dead_addrs_to_signal(),
+            dss=DssMapping(dsn, ssn, length),
+            data_ack=connection.data_ack_value(),
+            data_fin_dsn=connection.data_fin_to_signal(),
+            dead_addrs=connection.dead_addrs_to_signal(),
             mp_fail=self.mp_fail_pending)
 
     def ack_options(self, endpoint: TcpEndpoint) -> Optional[MptcpOptions]:
         connection = self.connection
-        if connection.is_fallback:
+        if connection.fallback_mode is not None:
             if (connection.fallback_mode == "infinite"
                     and self is connection._fallback_subflow):
                 # Keep signalling MP_FAIL so the peer (which may still
@@ -190,7 +190,7 @@ class Subflow:
                 meta: Tuple[float, Optional[MptcpOptions]]) -> None:
         arrival_time, options = meta
         connection = self.connection
-        if connection.is_fallback:
+        if connection.fallback_mode is not None:
             # Identity mapping: payload starts at subflow seq 1, the
             # DSN space at 0, so dsn = ssn - 1 on the sole subflow.
             if self is connection._fallback_subflow:
@@ -205,7 +205,8 @@ class Subflow:
                                            arrival_time)
             return
         mapping = options.dss
-        if not (mapping.ssn <= ssn_start and ssn_end <= mapping.ssn_end):
+        if not (mapping.ssn <= ssn_start
+                and ssn_end <= mapping.ssn + mapping.length):
             # The mapping no longer describes this payload (sequence-
             # rewriting middlebox): the SSN anchor cannot be trusted.
             if connection.on_dss_violation(self, "mapping-mismatch"):

@@ -163,8 +163,10 @@ def _write_lines(handle, results: Iterable[RunResult],
                  max_samples: Optional[int]) -> int:
     count = 0
     for result in results:
-        json.dump(result_to_dict(result, max_samples), handle,
-                  separators=(",", ":"))
+        # json.dumps runs the C encoder (json.dump the pure-Python
+        # one); the bytes are the same.
+        handle.write(json.dumps(result_to_dict(result, max_samples),
+                                separators=(",", ":")))
         handle.write("\n")
         count += 1
     return count
@@ -366,8 +368,8 @@ class ResultJournal:
             return
         if self._handle is None:
             raise ValueError(f"journal {self.path} is closed")
-        json.dump(result_to_dict(result, self.max_samples), self._handle,
-                  separators=(",", ":"))
+        self._handle.write(json.dumps(
+            result_to_dict(result, self.max_samples), separators=(",", ":")))
         self._handle.write("\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())

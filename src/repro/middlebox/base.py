@@ -27,10 +27,10 @@ of every flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.netsim.packet import Packet
+from repro.netsim.packet import IP_HEADER, Packet
 
 
 @dataclass
@@ -69,9 +69,14 @@ class Middlebox:
         The packet object (and its id) is preserved -- a rewriting box
         does not originate a new datagram, it mangles the one in
         flight; per-host captures still see their own side's view, the
-        way tcpdump at each end of a real path does.
+        way tcpdump at each end of a real path does.  The packet's
+        ``wire_size`` is recomputed for the new segment (its options,
+        and so its header, may have changed).
         """
-        packet.segment = replace(packet.segment, **segment_changes)
+        segment = packet.segment._replace(**segment_changes)
+        packet.segment = segment
+        packet.wire_size = (segment.payload_len + segment.header_length
+                            + IP_HEADER)
         return packet
 
     @staticmethod

@@ -7,6 +7,10 @@ table fills.  :class:`FlowTable` implements exactly that lifecycle;
 :class:`repro.netsim.nat.Nat` and the middlebox firewalls are thin
 policies on top of it.
 
+A table with neither a timeout nor a capacity (the client NAT's
+default) never reads its timestamps or its LRU order, so it only
+tracks membership: a per-packet touch is one dict lookup.
+
 Expiry is *lazy*: entries are judged against ``now`` when touched or
 queried, never by scheduled timer events, so attaching a table to a
 simulation adds no events and cannot perturb event ordering of runs
@@ -30,6 +34,9 @@ class FlowTable:
             raise ValueError("max_entries must be positive (or None)")
         self.idle_timeout = idle_timeout
         self.max_entries = max_entries
+        #: Timestamps and LRU order matter only with a timeout or a
+        #: capacity; without either the table is a membership set.
+        self._aging = idle_timeout is not None or max_entries is not None
         #: key -> time of last refresh, in LRU order (oldest first).
         self._entries: "collections.OrderedDict[Hashable, float]" = \
             collections.OrderedDict()
@@ -42,12 +49,17 @@ class FlowTable:
         Creating beyond ``max_entries`` evicts the least recently used
         entry (CGN port exhaustion: someone else's flow dies).
         """
-        created = key not in self._entries
-        self._entries[key] = now
-        self._entries.move_to_end(key)
+        entries = self._entries
+        created = key not in entries
+        if not self._aging:
+            if created:
+                entries[key] = now
+            return created
+        entries[key] = now
+        entries.move_to_end(key)
         if created and self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            while len(entries) > self.max_entries:
+                entries.popitem(last=False)
                 self.evicted += 1
         return created
 
@@ -56,6 +68,8 @@ class FlowTable:
         """Is there a live entry for ``key``?  Expires it lazily if its
         idle time exceeded the timeout; refreshes it otherwise (traffic
         in either direction keeps a real mapping alive)."""
+        if not self._aging:
+            return key in self._entries
         last = self._entries.get(key)
         if last is None:
             return False

@@ -36,8 +36,9 @@ from repro.sim.engine import Simulator
 #: per-packet (zero batch-build overhead on idle links).
 _BATCH_MIN = 2
 
-#: Build-time outcome codes for packets of an active burst, kept so a
-#: mid-burst link-down can rewind the burst's precounted statistics.
+#: Build-time outcome codes for packets of an active burst, kept (for
+#: the packets not plainly delivered) so a mid-burst link-down can
+#: rewind the burst's precounted statistics.
 _DELIVERED = 0
 _LOSS = 1
 _ARQ_LOSS = 2
@@ -145,6 +146,8 @@ class Link:
         # attribute walk just to learn there is nothing to modulate.
         self._modulated = (config.modulation is not None
                            and config.modulation.sigma != 0.0)
+        self._modulation_interval = (config.modulation.interval
+                                     if self._modulated else 1.0)
         #: Batched serving enabled?  Cleared by :meth:`disable_batching`
         #: (mobility / shared-world owners) and by :meth:`set_down`.
         self._batching = True
@@ -155,9 +158,12 @@ class Link:
         self._batch = None            # the engine-side _Batch handle
         self._batch_starts: Optional[list] = None  # service starts
         self._batch_sizes: list = []
-        self._batch_suffix: list = []  # suffix byte sums over starts
-        self._batch_entry_index: list = []  # packet -> delivery entry
-        self._batch_outcomes: list = []     # packet -> build outcome
+        #: Suffix byte sums over the starts; built on the first
+        #: admission (or occupancy read) that lands mid-burst.
+        self._batch_suffix: Optional[list] = None
+        #: Packet index -> build outcome, for packets not plainly
+        #: delivered (losses and ARQ recoveries).
+        self._batch_outcomes: dict = {}
         self._batch_end = 0.0
 
     # ------------------------------------------------------------------
@@ -237,8 +243,10 @@ class Link:
             # now are, in per-packet terms, still buffered: count them
             # so drop-tail decisions and the peak-queue statistic stay
             # identical to the per-packet pipeline.
-            occupancy += self._batch_suffix[
-                bisect.bisect_right(starts, self.sim.now)]
+            suffix = self._batch_suffix
+            if suffix is None:
+                suffix = self._build_suffix()
+            occupancy += suffix[bisect.bisect_right(starts, self.sim.now)]
         if occupancy + size > self.config.buffer_bytes:
             self.stats.drops_overflow += 1
             if self._metrics.enabled:
@@ -261,8 +269,24 @@ class Link:
         starts = self._batch_starts
         if starts is None:
             return self._queue_bytes
-        return self._queue_bytes + self._batch_suffix[
+        suffix = self._batch_suffix
+        if suffix is None:
+            suffix = self._build_suffix()
+        return self._queue_bytes + suffix[
             bisect.bisect_right(starts, self.sim.now)]
+
+    def _build_suffix(self) -> list:
+        """Suffix byte sums of the active burst: ``suffix[j]`` is the
+        bytes of packets ``j`` onward (``suffix[count]`` is 0)."""
+        sizes = self._batch_sizes
+        count = len(sizes)
+        suffix = [0] * (count + 1)
+        total = 0
+        for j in range(count - 1, -1, -1):
+            total += sizes[j]
+            suffix[j] = total
+        self._batch_suffix = suffix
+        return suffix
 
     def set_fluid_load(self, load_bps: float) -> None:
         """Declare bandwidth claimed by fluid-model background flows.
@@ -293,9 +317,13 @@ class Link:
         service-start time, replicating exactly the modulation draws
         the per-packet path would make at those event times.  The
         no-modulation check is hoisted into the ``_modulated`` flag so
-        unmodulated links never enter :meth:`_step_modulation` at all.
+        unmodulated links never enter :meth:`_step_modulation` at all,
+        and modulated ones only once a whole interval has elapsed (the
+        test :meth:`_step_modulation` applies first, ``steps >= 1``).
         """
-        if self._modulated:
+        if (self._modulated
+                and (now - self._last_modulation_step)
+                / self._modulation_interval >= 1.0):
             self._step_modulation(now)
         rate = self.config.rate_bps * self._rate_multiplier
         if self._fluid_bps:
@@ -349,8 +377,9 @@ class Link:
         packet = queue.popleft()
         size = packet.wire_size
         self._queue_bytes -= size
-        service_time = size * 8.0 / self.current_rate()
-        self.sim.post(service_time, self._service_done, packet)
+        sim = self.sim
+        service_time = size * 8.0 / self._rate_at(sim.now)
+        sim.post(service_time, self._service_done, packet)
 
     def _serve_burst(self) -> None:
         """Serve the whole queue as one precomputed burst.
@@ -384,17 +413,23 @@ class Link:
         jitter_mean = config.jitter_mean
         loss_rate = config.loss_rate
         arq_on = arq is not None and arq.error_rate > 0.0
+        # Only modulation moves the rate between service starts; an
+        # unmodulated link serves the whole burst at one rate.
+        modulated = self._modulated
+        rate = 0.0 if modulated else self._rate_at(now)
         starts = [0.0] * count
         delivery_times: list = []
         delivery_args: list = []
-        entry_index = [-1] * count
-        outcomes = [0] * count
+        outcomes = {}
+        delivered = delivered_bytes = 0
         last = self._last_delivery_time
         t = now
         for j in range(count):
             starts[j] = t
             size = sizes[j]
-            t = t + size * 8.0 / self._rate_at(t)
+            if modulated:
+                rate = self._rate_at(t)
+            t = t + size * 8.0 / rate
             delay = prop
             if jitter_mean > 0.0:
                 delay += rng.expovariate(1.0 / jitter_mean)
@@ -412,27 +447,22 @@ class Link:
                     outcomes[j] = _ARQ_RECOVERED
                     delay += rng.uniform(arq.recovery_min,
                                          arq.recovery_max)
-            stats.packets_delivered += 1
-            stats.bytes_delivered += size
+            delivered += 1
+            delivered_bytes += size
             delivery_time = t + delay
             if delivery_time < last:
                 delivery_time = last
             else:
                 last = delivery_time
-            entry_index[j] = len(delivery_times)
             delivery_times.append(delivery_time)
             delivery_args.append(packets[j])
+        stats.packets_delivered += delivered
+        stats.bytes_delivered += delivered_bytes
         self._last_delivery_time = last
         burst_end = t
-        suffix = [0] * (count + 1)
-        total = 0
-        for j in range(count - 1, -1, -1):
-            total += sizes[j]
-            suffix[j] = total
         self._batch_sizes = sizes
         self._batch_starts = starts
-        self._batch_suffix = suffix
-        self._batch_entry_index = entry_index
+        self._batch_suffix = None
         self._batch_outcomes = outcomes
         self._batch_end = burst_end
         sim = self.sim
@@ -464,17 +494,19 @@ class Link:
         starts = self._batch_starts
         sizes = self._batch_sizes
         outcomes = self._batch_outcomes
-        entries = self._batch_entry_index
         end = self._batch_end
         now = self.sim.now
         stats = self.stats
         count = len(starts)
         first_entry = -1
+        entry = 0  # delivery entry of the next delivered packet
         for j in range(count):
+            outcome = outcomes.get(j, _DELIVERED)
+            has_entry = outcome == _DELIVERED or outcome == _ARQ_RECOVERED
             completion = starts[j + 1] if j + 1 < count else end
             if completion <= now:
+                entry += has_entry
                 continue
-            outcome = outcomes[j]
             if outcome == _DELIVERED:
                 stats.packets_delivered -= 1
                 stats.bytes_delivered -= sizes[j]
@@ -487,8 +519,9 @@ class Link:
                 stats.bytes_delivered -= sizes[j]
                 stats.arq_recoveries -= 1
             stats.drops_down += 1
-            if first_entry < 0 and entries[j] >= 0:
-                first_entry = entries[j]
+            if first_entry < 0 and has_entry:
+                first_entry = entry
+            entry += has_entry
         if first_entry >= 0 and self._batch is not None:
             self._batch.revoke_from(first_entry)
         self._batch = None

@@ -37,10 +37,16 @@ class Packet:
         packet_id: unique id, used by traces to correlate send/receive.
         sent_at: simulated time the packet left the sending host; set by
             the host on transmit, used by link-layer models and traces.
+        wire_size: bytes occupied on the wire: payload + TCP header
+            (sized from the segment's actual SACK/MPTCP options) + IP
+            header.  Computed once at construction; a middlebox that
+            swaps ``segment`` for a rewritten one goes through
+            :meth:`repro.middlebox.base.Middlebox.rewrite`, which
+            recomputes it.
     """
 
     __slots__ = ("src", "dst", "segment", "packet_id", "sent_at",
-                 "_sized_segment", "_wire_size")
+                 "wire_size")
 
     def __init__(self, src: str, dst: str, segment: "Segment") -> None:
         self.src = src
@@ -48,25 +54,8 @@ class Packet:
         self.segment = segment
         self.packet_id = next(_packet_ids)
         self.sent_at = 0.0
-        self._sized_segment: "Segment | None" = None
-        self._wire_size = 0
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes occupied on the wire: payload + TCP header (sized from
-        the segment's actual SACK/MPTCP options) + IP header.
-
-        Computed once per carried segment: segments are frozen, but a
-        middlebox may swap ``packet.segment`` for a rewritten one, so
-        the cache is keyed on the segment's identity.
-        """
-        segment = self.segment
-        if segment is self._sized_segment:
-            return self._wire_size
-        size = segment.payload_len + segment.header_length + IP_HEADER
-        self._sized_segment = segment
-        self._wire_size = size
-        return size
+        self.wire_size = (segment.payload_len + segment.header_length
+                          + IP_HEADER)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Packet #{self.packet_id} {self.src}->{self.dst} "

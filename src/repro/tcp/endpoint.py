@@ -209,6 +209,7 @@ class TcpEndpoint:
         self._close_requested = False
         self._fin_sent = False
         self._consecutive_timeouts = 0
+        self._in_try_send = False
 
         # Receiver state.
         self.reassembly = ReassemblyQueue(rcv_nxt=1)
@@ -236,7 +237,8 @@ class TcpEndpoint:
 
     def smoothed_rtt(self, default: float = 0.5) -> float:
         """SRTT estimate used by controllers and the MPTCP scheduler."""
-        return self.rto_estimator.smoothed_rtt(default)
+        srtt = self.rto_estimator.srtt  # smoothed_rtt(), inlined
+        return srtt if srtt is not None else default
 
     @property
     def flight_bytes(self) -> int:
@@ -362,10 +364,12 @@ class TcpEndpoint:
 
     def handle_packet(self, packet: Packet) -> None:
         segment = packet.segment
-        if segment.flags.rst:
+        flags = segment.flags
+        if flags.rst:
             self._teardown()
             return
-        if self.state == "syn_sent":
+        state = self.state
+        if state == "syn_sent":
             if segment.flags.syn and segment.flags.ack and segment.ack >= 1:
                 self._establish()
                 if self.delegate is not None:
@@ -378,20 +382,21 @@ class TcpEndpoint:
                 self.peer_window = segment.window
                 self._send_ack()
             return
-        if self.state == "syn_rcvd":
+        if state == "syn_rcvd":
             if segment.flags.syn and not segment.flags.ack:
                 self._send_synack()  # duplicate SYN: retransmit the reply
                 return
             if segment.flags.ack and segment.ack >= 1:
                 self._establish()
+                state = self.state
                 # fall through: the packet may carry data or options
             else:
                 return
-        if self.state in ("closed", "failed"):
+        if state == "closed" or state == "failed":
             return
-        if segment.flags.ack:
+        if flags.ack:
             self._process_ack(segment)
-        if segment.payload_len > 0 or segment.flags.fin:
+        if segment.payload_len > 0 or flags.fin:
             self._process_data(packet)
         if self.delegate is not None:
             self.delegate.on_segment(self, segment)
@@ -523,12 +528,6 @@ class TcpEndpoint:
             return  # already retransmitted this episode
         self._retransmit(sent)
 
-    def _find_lost(self):
-        """Next RTO-marked loss not yet resent in this epoch."""
-        if not self._lost_count:
-            return None  # O(1) common case: nothing marked lost
-        return self._sent.find_lost(self._recovery_epoch)
-
     def _retransmit(self, sent) -> None:
         if sent.state == FLIGHT:
             self._pipe -= sent.seq_space
@@ -547,11 +546,12 @@ class TcpEndpoint:
         if segment.payload_len > 0:
             payload_start = segment.seq
             payload_end = segment.seq + segment.payload_len
-            free = self.config.rcv_buffer - self.reassembly.buffered_bytes
-            if payload_end - self.reassembly.rcv_nxt <= free:
+            reassembly = self.reassembly
+            free = self.config.rcv_buffer - reassembly.buffered_bytes
+            if payload_end - reassembly.rcv_nxt <= free:
                 meta = (self.sim.now, segment.options)
-                self.reassembly.offer(payload_start, payload_end, meta,
-                                      on_in_order=self._deliver)
+                reassembly.offer(payload_start, payload_end, meta,
+                                 self._deliver)
         if segment.flags.fin:
             self._peer_fin_seq = segment.seq + segment.payload_len
         if (self._peer_fin_seq is not None
@@ -609,52 +609,52 @@ class TcpEndpoint:
     def _try_send(self) -> None:
         if self.state not in ("established", "close_wait"):
             return
-        if getattr(self, "_in_try_send", False):
+        if self._in_try_send:
             return  # re-entered via scheduler pump: outer loop continues
         self._in_try_send = True
         try:
-            self._try_send_locked()
+            # Retransmit known-lost segments first, paced by the window:
+            # SACK-inferred holes during recovery, and the post-timeout
+            # go-back-N resend (paced by slow start) after an RTO.
+            while self._lost_count and self._pipe < int(self.cwnd):
+                lost = self._sent.find_lost(self._recovery_epoch)
+                if lost is None:
+                    break
+                self._retransmit(lost)
+            # Then new data while congestion window space remains.  Like
+            # the kernel, a full MSS may be sent whenever pipe < cwnd
+            # (the last segment may overshoot the window by a fraction
+            # of an MSS).
+            delegate = self.delegate
+            mss = self.mss
+            while mss > 0 and self._pipe < int(self.cwnd):
+                if delegate is not None:
+                    # MPTCP: the connection allocates the next DSN run.
+                    pulled = delegate.pull_data(self, mss)
+                    if pulled is None:
+                        break
+                    dsn, payload_len = pulled
+                else:
+                    payload_len = self._next_plain_chunk(mss)
+                    if payload_len is None:
+                        break
+                    dsn = None
+                sent = self._sent.append(self.snd_nxt, payload_len,
+                                         payload_len, fin=False, dsn=dsn,
+                                         sent_at=self.sim.now)
+                self.snd_nxt += payload_len
+                self._pipe += payload_len
+                self.controller.on_sent(self, payload_len)
+                self._send_data_segment(sent, retransmission=False)
+                if self._rto_event is None:
+                    self._arm_rto_timer()
+            if self._close_requested and not self._fin_sent:
+                self._maybe_send_fin()
         finally:
             self._in_try_send = False
 
-    def _try_send_locked(self) -> None:
-        # Retransmit known-lost segments first, paced by the window:
-        # SACK-inferred holes during recovery, and the post-timeout
-        # go-back-N resend (paced by slow start) after an RTO.
-        while self._pipe < int(self.cwnd):
-            lost = self._find_lost()
-            if lost is None:
-                break
-            self._retransmit(lost)
-        # Then new data while congestion window space remains.  Like the
-        # kernel, a full MSS may be sent whenever pipe < cwnd (the last
-        # segment may overshoot the window by a fraction of an MSS).
-        while self._pipe < int(self.cwnd):
-            chunk = self._next_chunk(self.mss)
-            if chunk is None:
-                break
-            payload_len, dsn = chunk
-            sent = self._sent.append(self.snd_nxt, payload_len,
-                                     payload_len, fin=False, dsn=dsn,
-                                     sent_at=self.sim.now)
-            self.snd_nxt += payload_len
-            self._pipe += payload_len
-            self.controller.on_sent(self, payload_len)
-            self._send_data_segment(sent, retransmission=False)
-            self._arm_rto_timer()
-        self._maybe_send_fin()
-
-    def _next_chunk(self, max_bytes: int
-                    ) -> Optional[Tuple[int, Optional[int]]]:
-        """Pick the next new-data chunk: (payload_len, dsn or None)."""
-        if max_bytes <= 0:
-            return None
-        if self.delegate is not None:
-            pulled = self.delegate.pull_data(self, max_bytes)
-            if pulled is None:
-                return None
-            dsn, length = pulled
-            return length, dsn
+    def _next_plain_chunk(self, max_bytes: int) -> Optional[int]:
+        """Length of the next plain-TCP data chunk, or None."""
         if self._pending_bytes <= 0:
             return None
         window_limit = self.snd_una + self.peer_window - self.snd_nxt
@@ -662,7 +662,7 @@ class TcpEndpoint:
             return None
         length = min(max_bytes, self._pending_bytes, window_limit)
         self._pending_bytes -= length
-        return length, None
+        return length
 
     def _maybe_send_fin(self) -> None:
         if (not self._close_requested or self._fin_sent
@@ -684,18 +684,18 @@ class TcpEndpoint:
         if self.delegate is not None and sent.dsn is not None:
             options = self.delegate.data_options(
                 self, sent.seq, sent.dsn, sent.payload_len)
+        # Positional: keyword construction of the NamedTuple costs more,
+        # and this runs once per data packet.
         segment = Segment(
-            src_port=self.local_port, dst_port=self.remote_port,
-            seq=sent.seq, ack=self.reassembly.rcv_nxt,
-            flags=_FLAGS_ACK_FIN if sent.fin else _FLAGS_ACK,
-            payload_len=sent.payload_len,
-            window=self._advertised_window(),
-            options=options)
+            self.local_port, self.remote_port, sent.seq,
+            self.reassembly.rcv_nxt,
+            _FLAGS_ACK_FIN if sent.fin else _FLAGS_ACK,
+            sent.payload_len, self._advertised_window(), (), options)
         if sent.payload_len > 0:
             self.stats.data_packets_sent += 1
             if not retransmission:
                 self.stats.payload_bytes_sent += sent.payload_len
-        self._transmit(segment)
+        self.host.send(Packet(self.local_addr, self.remote_addr, segment))
 
     def _send_ack(self) -> None:
         self._unacked_segments = 0
@@ -707,13 +707,11 @@ class TcpEndpoint:
         sack_blocks = (self.reassembly.sack_blocks()
                        if self.config.use_sack else ())
         segment = Segment(
-            src_port=self.local_port, dst_port=self.remote_port,
-            seq=self.snd_nxt, ack=self.reassembly.rcv_nxt,
-            flags=_FLAGS_ACK,
-            window=self._advertised_window(),
-            sack_blocks=sack_blocks, options=options)
+            self.local_port, self.remote_port, self.snd_nxt,
+            self.reassembly.rcv_nxt, _FLAGS_ACK, 0,
+            self._advertised_window(), sack_blocks, options)
         self.stats.acks_sent += 1
-        self._transmit(segment)
+        self.host.send(Packet(self.local_addr, self.remote_addr, segment))
 
     def _advertised_window(self) -> int:
         if self.delegate is not None:

@@ -30,11 +30,11 @@ class RtoEstimator:
         self._rto = initial_rto
         self._backoff = 1
         self.samples = 0
-
-    @property
-    def rto(self) -> float:
-        """Current timeout, including any exponential backoff."""
-        return min(self._rto * self._backoff, self.max_rto)
+        #: Current timeout, including any exponential backoff.  A plain
+        #: attribute, refreshed by :meth:`sample` and :meth:`backoff`
+        #: (the only writers of its inputs): the endpoint reads it on
+        #: every ACK that restarts the timer.
+        self.rto = min(self._rto * self._backoff, self.max_rto)
 
     @property
     def backoff_count(self) -> int:
@@ -47,22 +47,26 @@ class RtoEstimator:
         if rtt < 0:
             raise ValueError(f"negative RTT sample {rtt!r}")
         self.samples += 1
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
+        srtt = self.srtt
+        if srtt is None:
+            srtt = rtt
+            rttvar = rtt / 2.0
         else:
-            assert self.rttvar is not None
-            self.rttvar = ((1 - self.BETA) * self.rttvar
-                           + self.BETA * abs(self.srtt - rtt))
-            self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self._rto = max(self.min_rto,
-                        min(self.srtt + self.K * self.rttvar, self.max_rto))
+            rttvar = ((1 - self.BETA) * self.rttvar
+                      + self.BETA * abs(srtt - rtt))
+            srtt = (1 - self.ALPHA) * srtt + self.ALPHA * rtt
+        self.srtt = srtt
+        self.rttvar = rttvar
+        self._rto = rto = max(self.min_rto,
+                              min(srtt + self.K * rttvar, self.max_rto))
         self._backoff = 1
+        self.rto = min(rto, self.max_rto)
 
     def backoff(self) -> None:
         """Double the timeout after an expiry (capped at ``max_rto``)."""
         if self._rto * self._backoff < self.max_rto:
             self._backoff *= 2
+        self.rto = min(self._rto * self._backoff, self.max_rto)
 
     def smoothed_rtt(self, default: float = 0.5) -> float:
         """SRTT, or ``default`` before the first sample."""

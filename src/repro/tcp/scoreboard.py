@@ -86,7 +86,7 @@ class SendScoreboard:
             if sent.seq >= end:
                 break
             if (sent.state == FLIGHT and sent.seq >= start
-                    and sent.end_seq <= end):
+                    and sent.seq + sent.seq_space <= end):
                 sent.state = SACKED
                 freed += sent.seq_space
         return freed
@@ -100,7 +100,7 @@ class SendScoreboard:
         """
         count = freed = 0
         for sent in self._sent.values():
-            if sent.end_seq > threshold:
+            if sent.seq + sent.seq_space > threshold:
                 break
             if sent.state == FLIGHT and sent.rexmit_epoch != epoch:
                 sent.state = LOST
@@ -117,20 +117,25 @@ class SendScoreboard:
         timestamp of the *last* retired never-retransmitted range (the
         Karn-compliant RTT sample), or ``None``.
         """
-        newly_acked = flight_freed = lost_retired = 0
+        newly_acked = flight_freed = lost_retired = retired = 0
         rtt_sent_at: Optional[float] = None
-        while self._sent:
-            seq, sent = next(iter(self._sent.items()))
-            if sent.end_seq > ack:
+        ranges = self._sent
+        for sent in ranges.values():
+            seq_space = sent.seq_space
+            if sent.seq + seq_space > ack:
                 break
-            del self._sent[seq]
-            if sent.state == FLIGHT:
-                flight_freed += sent.seq_space
-            elif sent.state == LOST:
+            retired += 1
+            state = sent.state
+            if state == FLIGHT:
+                flight_freed += seq_space
+            elif state == LOST:
                 lost_retired += 1
-            newly_acked += sent.seq_space
+            newly_acked += seq_space
             if sent.retransmits == 0:
                 rtt_sent_at = sent.sent_at
+        # The covered ranges are a prefix: retire them from the head.
+        for _ in range(retired):
+            ranges.popitem(last=False)
         return newly_acked, rtt_sent_at, flight_freed, lost_retired
 
     def front_unsacked(self) -> Optional[SentSegment]:

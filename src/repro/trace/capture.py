@@ -305,26 +305,29 @@ class PacketCapture:
                 summary.first_syn_sent = time
         if not self._analyze_senders:
             return
-        stream = self._stream_for(packet, segment)
+        oriented = (packet.src, segment.src_port,
+                    packet.dst, segment.dst_port)
+        stream = self._stream_by_tuple.get(oriented)
+        if stream is None:
+            stream = self._new_stream(oriented)
         if direction == "send":
             stream.on_send(time, packet.src, segment.src_port,
                            packet.dst, segment.dst_port, segment)
         else:
             stream.on_recv(time, segment)
 
-    def _stream_for(self, packet: Packet, segment) -> _FlowStream:
-        oriented = (packet.src, segment.src_port,
-                    packet.dst, segment.dst_port)
-        stream = self._stream_by_tuple.get(oriented)
+    def _new_stream(self, oriented: Tuple[str, int, str, int]
+                    ) -> _FlowStream:
+        """The flow stream for a 4-tuple not seen before (either
+        direction of one flow shares a stream)."""
+        src, src_port, dst, dst_port = oriented
+        ends = sorted([(src, src_port), (dst, dst_port)])
+        key = (ends[0], ends[1])
+        stream = self._flows.get(key)
         if stream is None:
-            ends = sorted([(packet.src, segment.src_port),
-                           (packet.dst, segment.dst_port)])
-            key = (ends[0], ends[1])
-            stream = self._flows.get(key)
-            if stream is None:
-                stream = _FlowStream()
-                self._flows[key] = stream
-            self._stream_by_tuple[oriented] = stream
+            stream = _FlowStream()
+            self._flows[key] = stream
+        self._stream_by_tuple[oriented] = stream
         return stream
 
     # ------------------------------------------------------------------

@@ -76,6 +76,40 @@ def test_store_is_sharded_and_atomic(tmp_path, baseline):
     reopened.close()
 
 
+def _pure_python_json(payload):
+    """What ``json.dump`` writes: the pure-Python streaming encoder."""
+    return "".join(json.JSONEncoder(separators=(",", ":"))
+                   .iterencode(payload))
+
+
+def test_stored_bytes_match_the_streaming_encoder(tmp_path, baseline):
+    """Objects, saved results and journal lines are written with the C
+    encoder (``json.dumps``); their bytes must equal what the
+    pure-Python streaming encoder behind ``json.dump`` produces."""
+    result = baseline[0]
+    root = tmp_path / "cache"
+    with RunCache(root) as cache:
+        cache.put(result)
+        key = cache.key_of(result)
+        digest = cache_digest(key, FORMAT_VERSION)
+    stored = (root / "objects" / digest[:2] / f"{digest}.json").read_text()
+    assert stored == _pure_python_json({
+        "key": key, "format_version": FORMAT_VERSION,
+        "result": result_to_dict(result, max_samples=None)})
+
+    saved = tmp_path / "results.jsonl"
+    storage_module.save_results(saved, baseline, max_samples=50)
+    assert saved.read_text() == "".join(
+        _pure_python_json(result_to_dict(item, 50)) + "\n"
+        for item in baseline)
+
+    journal_path = tmp_path / "journal.jsonl"
+    with ResultJournal(journal_path, max_samples=50) as journal:
+        journal.record(result)
+    assert journal_path.read_text() == \
+        _pure_python_json(result_to_dict(result, 50)) + "\n"
+
+
 def test_miss_returns_none_and_counts(tmp_path):
     with RunCache(tmp_path / "cache") as cache:
         assert cache.get("no|such|cell|night") is None

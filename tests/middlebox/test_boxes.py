@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.options import DssMapping, MptcpOptions
 from repro.middlebox import (
@@ -18,7 +20,7 @@ from repro.middlebox import (
     install_chain,
 )
 from repro.netsim.link import Link, LinkConfig
-from repro.netsim.packet import Packet
+from repro.netsim.packet import IP_HEADER, Packet
 from repro.sim.engine import Simulator
 from repro.tcp.segment import Flags, Segment
 
@@ -114,6 +116,33 @@ def test_rewriter_ignores_packets_without_dss():
     assert box.offsets == {}
 
 
+def _wire_size_of(segment):
+    return segment.payload_len + segment.header_length + IP_HEADER
+
+
+@pytest.mark.parametrize("box", [
+    OptionStripper(strip_capable=False, strip_join=False,
+                   strip_add_addr=False, strip_dss=True),
+    SequenceRewriter(rng=random.Random(3)),
+], ids=["stripper", "rewriter"])
+def test_rewriting_boxes_refresh_wire_size(box):
+    """A packet's wire size is fixed at construction; a box that swaps
+    in a rewritten segment must leave it matching the new segment."""
+    options = MptcpOptions(dss=DssMapping(dsn=0, ssn=1, length=1000),
+                           data_ack=0)
+    packet = make_packet(payload=1000, seq=1, options=options)
+    before = packet.wire_size
+    assert before == _wire_size_of(packet.segment)
+    out = box.process(packet, "up", 0.0)
+    assert out == [packet]
+    assert packet.segment.options != options  # the box did rewrite it
+    assert packet.wire_size == _wire_size_of(packet.segment)
+    if isinstance(box, OptionStripper):
+        # Dropping the DSS (and DATA_ACK) shrinks the TCP header.
+        assert packet.segment.options is None
+        assert packet.wire_size == before - 20
+
+
 # ----------------------------------------------------------------------
 # PayloadProxy
 # ----------------------------------------------------------------------
@@ -162,6 +191,40 @@ def test_flow_table_lru_eviction():
     table.touch("c", now=3.0)
     assert "a" in table and "c" in table and "b" not in table
     assert table.evicted == 1
+
+
+_flow_ops = st.lists(st.tuples(
+    st.sampled_from(["touch", "active", "peek", "drop"]),
+    st.integers(min_value=0, max_value=5),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),
+    max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flow_ops)
+def test_unbounded_flow_table_matches_general_path(ops):
+    """A table with no timeout and no capacity only tracks membership;
+    it must answer every call exactly as the general (timed, LRU) path
+    does when neither limit can bite."""
+    fast = FlowTable()
+    general = FlowTable(idle_timeout=1e9, max_entries=10 ** 9)
+    for op, key, now in ops:
+        if op == "touch":
+            results = [table.touch(key, now=now) for table in
+                       (fast, general)]
+        elif op == "active":
+            results = [table.active(key, now=now) for table in
+                       (fast, general)]
+        elif op == "peek":
+            results = [table.active(key, now=now, refresh=False)
+                       for table in (fast, general)]
+        else:
+            results = [table.drop(key) for table in (fast, general)]
+        assert results[0] == results[1], (op, key)
+        assert (key in fast) == (key in general)
+        assert len(fast) == len(general)
+    assert (fast.expired, fast.evicted) == (general.expired,
+                                            general.evicted) == (0, 0)
 
 
 def test_flow_table_rejects_bad_parameters():

@@ -12,7 +12,8 @@ ARQ and rate modulation.
 
 Also here: the regression test for the hoisted no-modulation check
 (satellite): unmodulated links must never enter the AR(1) stepping
-code on the per-packet path.
+code on the per-packet path; and a link taken down mid-burst, which
+must rewind exactly the burst's unserved tail.
 """
 
 import random
@@ -158,3 +159,65 @@ def test_clean_link_deep_burst_matches_scalar():
                        per_packet=True)
     assert batched[:3] == reference[:3]
     assert batched[3] > 0 and reference[3] == 0
+
+
+# ----------------------------------------------------------------------
+# Link down in the middle of a batched burst
+# ----------------------------------------------------------------------
+
+_DOWN_SIZES = [1000 + 7 * index for index in range(30)]
+
+
+def _burst_with_outage(down_at):
+    """Offer 30 packets at t=0 to a lossy ARQ link (the first is served
+    alone, the other 29 as one burst); optionally take the link down
+    at ``down_at``.  Returns the delivered sequence numbers, the stats
+    and whether a burst was posted."""
+    sim = Simulator()
+    config = LinkConfig(
+        rate_bps=4e6, prop_delay=0.005, buffer_bytes=10 ** 6,
+        loss_rate=0.2,
+        arq=ArqConfig(error_rate=0.3, recovery_min=0.002,
+                      recovery_max=0.01, residual_loss=0.3))
+    link = Link(sim, config, random.Random(5))
+    delivered = []
+    link.deliver = lambda packet: delivered.append(packet.segment.seq)
+    for index, size in enumerate(_DOWN_SIZES):
+        link.send(Packet("a", "b", Segment(src_port=1, dst_port=2,
+                                           seq=index, payload_len=size)))
+    if down_at is not None:
+        sim.schedule(down_at, link.set_down, True)
+    sim.run()
+    return delivered, link.stats, sim.batches_posted
+
+
+def test_link_down_mid_burst_revokes_only_the_unserved_tail():
+    """A packet whose service ended before the outage keeps the outcome
+    its burst drew for it (delivered, lost or ARQ-recovered) and is
+    delivered even if it lands after the outage; every packet still in
+    service or queued counts as a down drop and is never delivered."""
+    full, _, _ = _burst_with_outage(None)
+    # Service completions, as the link computes them: the first packet
+    # alone, then the burst back to back from its completion.
+    completions = []
+    t = 0.0
+    for size in _DOWN_SIZES:
+        t = t + (size + 40) * 8.0 / 4e6
+        completions.append(t)
+    cut = 12  # packets 0..cut finish service before the outage
+    down_at = (completions[cut] + completions[cut + 1]) / 2
+    served = set(range(cut + 1))
+    expected = [seq for seq in full if seq in served]
+    # Losses among the served packets shift delivery entries away from
+    # packet indices, which the revocation must account for.
+    assert 0 < len(expected) < len(served)
+
+    delivered, stats, batches = _burst_with_outage(down_at)
+    assert batches == 1
+    assert delivered == expected
+    assert stats.packets_delivered == len(expected)
+    assert stats.bytes_delivered == sum(
+        _DOWN_SIZES[seq] + 40 for seq in expected)
+    assert stats.drops_down == len(_DOWN_SIZES) - len(served)
+    assert (stats.drops_loss + stats.drops_arq_residual
+            == len(served) - len(expected))

@@ -1,5 +1,6 @@
 """Tests for segment value objects."""
 
+from repro.core.options import DssMapping, MptcpOptions
 from repro.tcp.segment import Flags, Segment
 
 
@@ -39,10 +40,31 @@ def test_flags_render_readably():
 
 
 def test_segments_are_immutable_values():
-    segment = Segment(src_port=1, dst_port=2)
-    try:
-        segment.seq = 5
-        raised = False
-    except AttributeError:
-        raised = True
-    assert raised
+    """Segment and its option blocks are immutable values: no field can
+    be assigned, equal contents compare equal and hash alike, and a
+    changed copy is a different value."""
+    mapping = DssMapping(dsn=10, ssn=1, length=100)
+    options = MptcpOptions(dss=mapping, data_ack=5)
+    cases = [
+        (Segment(src_port=1, dst_port=2, options=options), "seq",
+         lambda: Segment(src_port=1, dst_port=2, options=MptcpOptions(
+             dss=DssMapping(dsn=10, ssn=1, length=100), data_ack=5))),
+        (options, "data_ack",
+         lambda: MptcpOptions(dss=DssMapping(10, 1, 100), data_ack=5)),
+        (mapping, "dsn", lambda: DssMapping(dsn=10, ssn=1, length=100)),
+    ]
+    for value, field, rebuild in cases:
+        try:
+            setattr(value, field, 5)
+            raised = False
+        except AttributeError:
+            raised = True
+        assert raised, type(value).__name__
+        twin = rebuild()
+        assert twin is not value
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value)
+        assert len({value, twin}) == 1
+        changed = value._replace(**{field: 6})
+        assert changed != value
+        assert getattr(value, field) != 6
